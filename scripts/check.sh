@@ -15,7 +15,11 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 # VCD waveform exporter fails loudly and names the fix): re-bless with
 # `BLESS=1 cargo test --offline --test html_golden` (or --test vcd_golden,
 # --test diff_html_golden) after an intentional rendering change.
+# `campaign_golden` pins the workers=1 campaign.json digests of three
+# fixed-seed campaigns across commits; re-bless it only when the fuzzing
+# trajectory is meant to change.
 cargo test --offline -q --test html_golden
 cargo test --offline -q --test diff_html_golden
 cargo test --offline -q --test vcd_golden
 cargo test --offline -q --test cemit_golden
+cargo test --offline -q --test campaign_golden
