@@ -37,16 +37,6 @@ pub enum Engine {
     /// architectures, `--no-default-features`, executable-page mapping
     /// refused) transparently resolves to [`Engine::Flat`].
     Jit,
-    /// The batched structure-of-arrays tier: the fuzz loop executes `width`
-    /// cases per pass through the flat program (see
-    /// [`BatchExecutor`](crate::BatchExecutor)), replaying coverage-earning
-    /// cases on the best single-case engine. `width == 0` means the
-    /// default ([`crate::DEFAULT_BATCH_WIDTH`]). A single-case [`Executor`]
-    /// asked for this tier runs that replay engine.
-    Batch {
-        /// Lanes per batch (0 = default width).
-        width: usize,
-    },
 }
 
 impl Engine {
@@ -67,33 +57,55 @@ impl Engine {
         }
     }
 
-    /// Reads the `CFTCG_ENGINE` environment override: `ref`/`reference`,
-    /// `flat`, `jit`, or `batch`/`batch:N` (case-insensitive; `N` an
-    /// explicit lane width). Returns `None` when unset or unrecognized.
-    pub fn from_env() -> Option<Engine> {
-        let v = std::env::var("CFTCG_ENGINE").ok()?;
-        match v.to_ascii_lowercase().as_str() {
-            "ref" | "reference" => Some(Engine::Reference),
-            "flat" => Some(Engine::Flat),
-            "jit" => Some(Engine::Jit),
-            "batch" => Some(Engine::Batch { width: 0 }),
-            s => {
-                let width: usize = s.strip_prefix("batch:")?.parse().ok()?;
-                (1..=crate::batch::MAX_BATCH_WIDTH)
-                    .contains(&width)
-                    .then_some(Engine::Batch { width })
-            }
+    /// Reads the `CFTCG_ENGINE` environment override (parsed like
+    /// [`Engine::from_str`](std::str::FromStr)). Returns `Ok(None)` when
+    /// unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseEngineError`] when the variable is set to something
+    /// that is not an engine name.
+    pub fn from_env() -> Result<Option<Engine>, ParseEngineError> {
+        match std::env::var_os("CFTCG_ENGINE") {
+            Some(v) => v.to_string_lossy().parse().map(Some),
+            None => Ok(None),
         }
     }
 
-    /// The engine's short name (`ref`/`flat`/`jit`/`batch`) as logged into
-    /// bench and campaign metadata.
+    /// The engine's short name (`ref`/`flat`/`jit`) as logged into bench
+    /// and campaign metadata.
     pub const fn name(self) -> &'static str {
         match self {
             Engine::Reference => "ref",
             Engine::Flat => "flat",
             Engine::Jit => "jit",
-            Engine::Batch { .. } => "batch",
+        }
+    }
+}
+
+/// An engine name that is none of `ref`/`reference`, `flat`, `jit`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseEngineError(String);
+
+impl std::fmt::Display for ParseEngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown engine `{}` (expected ref, flat or jit)", self.0)
+    }
+}
+
+impl std::error::Error for ParseEngineError {}
+
+impl std::str::FromStr for Engine {
+    type Err = ParseEngineError;
+
+    /// Parses `ref`/`reference`, `flat` or `jit`, case-insensitively — the
+    /// one spelling shared by `CFTCG_ENGINE` and `cftcg ab` variant specs.
+    fn from_str(s: &str) -> Result<Engine, ParseEngineError> {
+        match s.to_ascii_lowercase().as_str() {
+            "ref" | "reference" => Ok(Engine::Reference),
+            "flat" => Ok(Engine::Flat),
+            "jit" => Ok(Engine::Jit),
+            _ => Err(ParseEngineError(s.to_string())),
         }
     }
 }
@@ -101,8 +113,17 @@ impl Engine {
 /// Resolves the effective engine from the three-level preference chain
 /// every CLI entry point shares: the `CFTCG_ENGINE` environment override
 /// wins, then the caller's configured preference, then `default`.
+///
+/// # Panics
+///
+/// Panics when `CFTCG_ENGINE` is set but names no engine: a misspelled
+/// override must not silently run the default tier. The `cftcg` binary
+/// checks [`Engine::from_env`] at startup and exits with the error instead.
 pub fn resolve_engine(preference: Option<Engine>, default: Engine) -> Engine {
-    Engine::from_env().or(preference).unwrap_or(default)
+    match Engine::from_env() {
+        Ok(env) => env.or(preference).unwrap_or(default),
+        Err(e) => panic!("CFTCG_ENGINE: {e}"),
+    }
 }
 
 impl std::fmt::Display for Engine {
@@ -141,9 +162,8 @@ pub struct Executor<'c> {
     /// The canonical start-of-case register file (zeros plus hoisted
     /// constants): [`Executor::reset`] restores it so every case's
     /// execution is a pure function of its bytes, with no register residue
-    /// from the previous case — the invariant the batch tier's lane
-    /// classification relies on, and what replay/minimization (which
-    /// always run cases on fresh executors) already assumed.
+    /// from the previous case — what replay/minimization (which always run
+    /// cases on fresh executors) assume of the fuzz loop's reused one.
     reg_canon: Vec<f64>,
     state: Vec<f64>,
     inputs: Vec<f64>,
@@ -181,11 +201,8 @@ impl<'c> Executor<'c> {
     }
 
     /// Creates an executor with an explicit engine choice.
-    /// [`Engine::Jit`] resolves to [`Engine::Flat`] when unavailable;
-    /// [`Engine::Batch`] — a fuzz-loop strategy, not a single-case engine —
-    /// resolves to the best scalar engine (the tier's winner-replay path).
+    /// [`Engine::Jit`] resolves to [`Engine::Flat`] when unavailable.
     pub fn with_engine(compiled: &'c CompiledModel, engine: Engine) -> Self {
-        let engine = if matches!(engine, Engine::Batch { .. }) { Engine::best() } else { engine };
         #[cfg(cftcg_jit)]
         let mut engine = engine;
         #[cfg(not(cftcg_jit))]
@@ -734,6 +751,35 @@ mod tests {
         b.wire(u, sat);
         b.wire(sat, y);
         compile(&b.finish().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn engine_names_parse_case_insensitively() {
+        for (s, engine) in [
+            ("ref", Engine::Reference),
+            ("reference", Engine::Reference),
+            ("REF", Engine::Reference),
+            ("Reference", Engine::Reference),
+            ("flat", Engine::Flat),
+            ("Flat", Engine::Flat),
+            ("jit", Engine::Jit),
+            ("JIT", Engine::Jit),
+        ] {
+            assert_eq!(s.parse::<Engine>(), Ok(engine), "{s}");
+        }
+        for engine in [Engine::Reference, Engine::Flat, Engine::Jit] {
+            assert_eq!(engine.name().parse::<Engine>(), Ok(engine), "name round-trips");
+        }
+    }
+
+    #[test]
+    fn unknown_engine_names_are_rejected_by_name() {
+        for s in ["flt", "batch", "batch:8", "", " jit", "vm"] {
+            let err = s.parse::<Engine>().expect_err(s);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("`{s}`")), "error names the value: {msg}");
+            assert!(msg.contains("ref, flat or jit"), "error lists the choices: {msg}");
+        }
     }
 
     #[test]

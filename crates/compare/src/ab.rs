@@ -62,12 +62,7 @@ impl VariantSpec {
                 .ok_or_else(|| format!("variant clause `{clause}` is not key=value"))?;
             match key.trim() {
                 "engine" => {
-                    out.engine = Some(match value.trim().to_ascii_lowercase().as_str() {
-                        "ref" | "reference" => Engine::Reference,
-                        "flat" => Engine::Flat,
-                        "jit" => Engine::Jit,
-                        other => return Err(format!("unknown engine `{other}`")),
-                    });
+                    out.engine = Some(value.trim().parse::<Engine>().map_err(|e| e.to_string())?);
                 }
                 "workers" => {
                     out.workers = value

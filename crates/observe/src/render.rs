@@ -72,19 +72,6 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
         }
         None => out.push_str(",\"jit_compile_ns\":null"),
     }
-    match &snap.batch {
-        Some(b) => {
-            let _ = write!(
-                out,
-                ",\"batch\":{{\"width\":{},\"rounds\":{},\"commits\":{},\"abandons\":{},\
-                 \"scalar_lane_fraction\":",
-                b.width, b.rounds, b.commits, b.abandons
-            );
-            push_json_f64(&mut out, b.scalar_lane_fraction);
-            out.push('}');
-        }
-        None => out.push_str(",\"batch\":null"),
-    }
 
     out.push_str(",\"spans\":[");
     let mut first = true;
@@ -261,11 +248,6 @@ pub(crate) fn dashboard_html(model: &str, snap: &TelemetrySnapshot) -> String {
     tile(format!("{:.2}/s", snap.goals_per_second()), "goal rate");
     if let Some(bytes) = snap.jit_code_bytes {
         tile(format!("{:.1} KiB", bytes as f64 / 1024.0), "JIT code");
-    }
-    if let Some(batch) = &snap.batch {
-        tile(format!("{} lanes", batch.width), "batch width");
-        tile(format!("{:.1}%", 100.0 * batch.scalar_lane_fraction), "batch divergence");
-        tile(batch.abandons.to_string(), "batch abandons");
     }
     out.push_str("</div>\n");
 

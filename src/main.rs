@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use cftcg::codegen::{
     compile, emit_c, emit_driver_c, replay_case, replay_suite, test_case_from_csv,
-    test_case_to_csv, CompiledModel, TestCase,
+    test_case_to_csv, CompiledModel, Engine, TestCase,
 };
 use cftcg::compare::{
     ab_report, diff_html, diff_json, run_ab, terminal_report, AbBudget, ArtifactDiff,
@@ -67,6 +67,9 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
+    // Every command that executes the model honours `CFTCG_ENGINE`; refuse
+    // an unknown value up front rather than deep inside a run.
+    Engine::from_env().map_err(|e| format!("CFTCG_ENGINE: {e}"))?;
     let Some(command) = args.first() else {
         print_usage();
         return Ok(());
@@ -100,7 +103,7 @@ fn print_usage() {
          \x20 cftcg stats  <model.mdlx>\n\
          \x20 cftcg codegen <model.mdlx> [--driver]\n\
          \x20 cftcg fuzz   <model.mdlx> [--budget-ms N] [--seed N] [--out DIR] [--workers N]\n\
-         \x20              [--batch N] [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]\n\
+         \x20              [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]\n\
          \x20              [--serve ADDR] [--trace-events FILE]\n\
          \x20              [--trace-dir DIR] [--trace-every N] [--plateau-window N]\n\
          \x20 cftcg diff   <model.mdlx> <a/campaign.json> <b/campaign.json>\n\
@@ -188,7 +191,49 @@ fn codegen(model: &Model, driver: bool) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// Flags of `cftcg fuzz` that take a value.
+const FUZZ_VALUE_FLAGS: &[&str] = &[
+    "--budget-ms",
+    "--seed",
+    "--workers",
+    "--out",
+    "--stats-jsonl",
+    "--status-every",
+    "--prom",
+    "--serve",
+    "--trace-events",
+    "--trace-dir",
+    "--trace-every",
+    "--plateau-window",
+];
+
+/// Flags of `cftcg fuzz` that stand alone.
+const FUZZ_SWITCHES: &[&str] = &["--minimize"];
+
+/// Rejects any argument that is not one of a command's known flags (or the
+/// value following a value flag), naming it — so a misspelled or retired
+/// flag fails loudly instead of being ignored.
+fn check_flags(
+    command: &str,
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if value_flags.contains(&arg.as_str()) {
+            if args.next().is_none() {
+                return Err(format!("`{command}` flag `{arg}` needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown `{command}` argument `{arg}` (try `cftcg help`)"));
+        }
+    }
+    Ok(())
+}
+
 fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags("fuzz", rest, FUZZ_VALUE_FLAGS, FUZZ_SWITCHES)?;
     let budget_ms: u64 =
         flag_value(rest, "--budget-ms").map(str::parse).transpose()?.unwrap_or(5_000);
     let seed: u64 = flag_value(rest, "--seed").map(str::parse).transpose()?.unwrap_or(0);
@@ -206,9 +251,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         flag_value(rest, "--trace-every").map(str::parse).transpose()?.unwrap_or(1).max(1);
     let plateau_window: Option<u64> =
         flag_value(rest, "--plateau-window").map(str::parse).transpose()?;
-    // `--batch N` selects the batched SoA tier at N lanes (0 = default
-    // width); `CFTCG_ENGINE` still wins, like every engine preference.
-    let batch: Option<usize> = flag_value(rest, "--batch").map(str::parse).transpose()?;
 
     // Build the telemetry registry only when a sink was requested; without
     // one the loop skips per-execution timing entirely. The observatory is
@@ -237,9 +279,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let span_trace = trace_events.map(|_| cftcg::telemetry::SpanTrace::new());
 
     let mut tool = Cftcg::new(model)?;
-    if let Some(width) = batch {
-        tool = tool.with_batch(width);
-    }
     println!("engine: {} ({} workers)", tool.engine(), workers);
     if let Some(t) = &telemetry {
         tool = tool.with_telemetry(t.clone());
@@ -1037,4 +1076,61 @@ fn export_benchmarks(dir: &str) -> Result<(), Box<dyn Error>> {
         println!("wrote {}", path.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fuzz_args(args: &[&str]) -> Result<(), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        check_flags("fuzz", &args, FUZZ_VALUE_FLAGS, FUZZ_SWITCHES)
+    }
+
+    #[test]
+    fn fuzz_accepts_its_known_flags() {
+        assert_eq!(fuzz_args(&[]), Ok(()));
+        assert_eq!(
+            fuzz_args(&[
+                "--budget-ms",
+                "3000",
+                "--seed",
+                "7",
+                "--workers",
+                "2",
+                "--minimize",
+                "--out",
+                "cases",
+                "--stats-jsonl",
+                "c.jsonl",
+                "--status-every",
+                "1",
+                "--prom",
+                "m.prom",
+                "--serve",
+                "127.0.0.1:0",
+                "--trace-events",
+                "t.json",
+                "--trace-dir",
+                "traces",
+                "--trace-every",
+                "4",
+                "--plateau-window",
+                "500",
+            ]),
+            Ok(())
+        );
+        // A value that looks like a flag is still the preceding flag's value.
+        assert_eq!(fuzz_args(&["--out", "--minimize"]), Ok(()));
+    }
+
+    #[test]
+    fn fuzz_rejects_retired_and_unknown_flags_by_name() {
+        let err = fuzz_args(&["--budget-ms", "100", "--batch", "8"]).unwrap_err();
+        assert!(err.contains("`--batch`"), "{err}");
+        let err = fuzz_args(&["--bogus", "3"]).unwrap_err();
+        assert!(err.contains("`--bogus`"), "{err}");
+        let err = fuzz_args(&["--seed"]).unwrap_err();
+        assert!(err.contains("`--seed`") && err.contains("needs a value"), "{err}");
+    }
 }
