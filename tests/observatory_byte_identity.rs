@@ -15,19 +15,8 @@ use cftcg::pipeline::CampaignArtifact;
 use cftcg::telemetry::{SpanKind, SpanTrace, Telemetry};
 use cftcg::Cftcg;
 
-/// Zeroes every `"t_s"` / `"elapsed_s"` value in a campaign JSON document.
-fn strip_wallclock(mut s: String) -> String {
-    for key in ["\"t_s\":", "\"elapsed_s\":"] {
-        let mut from = 0;
-        while let Some(rel) = s[from..].find(key) {
-            let start = from + rel + key.len();
-            let end = s[start..].find([',', '}', '\n']).map_or(s.len(), |e| start + e);
-            s.replace_range(start..end, "0");
-            from = start + 1;
-        }
-    }
-    s
-}
+mod common;
+use common::strip_wallclock;
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> Option<String> {
     let mut stream = TcpStream::connect(addr).ok()?;

@@ -12,19 +12,8 @@ use cftcg::codegen::compile;
 use cftcg::fuzz::{FuzzConfig, Fuzzer, Generation, TraceHook};
 use cftcg::pipeline::CampaignArtifact;
 
-/// Zeroes every `"t_s"` / `"elapsed_s"` value in a campaign JSON document.
-fn strip_wallclock(mut s: String) -> String {
-    for key in ["\"t_s\":", "\"elapsed_s\":"] {
-        let mut from = 0;
-        while let Some(rel) = s[from..].find(key) {
-            let start = from + rel + key.len();
-            let end = s[start..].find([',', '}', '\n']).map_or(s.len(), |e| start + e);
-            s.replace_range(start..end, "0");
-            from = start + 1;
-        }
-    }
-    s
-}
+mod common;
+use common::strip_wallclock;
 
 #[test]
 fn trace_hook_leaves_campaign_artifact_byte_identical() {
